@@ -81,8 +81,6 @@ func main() {
 		cfgFn    = flag.String("cfg-fn", "main", "function for -cfg-dot")
 		stat     = flag.Bool("statistical", false, "statistical mode: fully simulate only sampled windows, fast-forward between them (prints an error report)")
 		statWin  = flag.Int("stat-window", 0, "per-sample warmup window W in accesses for -statistical (0 = default)")
-		par      = flag.Bool("parallel", false, "run eligible multithreaded phases on per-core interpreter goroutines (results identical to serial)")
-		workers  = flag.Int("workers", 0, "goroutine bound for -parallel (0 = one per simulated core)")
 	)
 	flag.Parse()
 
@@ -126,8 +124,6 @@ func main() {
 	}
 	opt.Analysis.Statistical = *stat
 	opt.Analysis.StatWindow = *statWin
-	opt.VM.Parallel = *par
-	opt.VM.Workers = *workers
 
 	p, phases, err := w.Build(nil, sc)
 	fail(err)
@@ -176,13 +172,6 @@ func main() {
 	if res.Stat != nil {
 		fmt.Println()
 		res.Stat.RenderText(os.Stdout)
-	}
-	if *par {
-		if res.Parallel.Engaged {
-			fmt.Printf("parallel engine: engaged, %d quantum rounds\n", res.Parallel.Rounds)
-		} else {
-			fmt.Printf("parallel engine: not engaged (fallbacks: %v)\n", res.Parallel.Fallbacks)
-		}
 	}
 
 	if *profDir != "" {

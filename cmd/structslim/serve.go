@@ -21,7 +21,7 @@ import (
 
 // runServe starts the streaming profile service: an HTTP server that
 // ingests sample batches (from `structslim push` or any client speaking
-// the gob/NDJSON wire format) and serves online analysis.
+// the binary or NDJSON wire format) and serves online analysis.
 //
 //	structslim serve -workload art [-addr :7080] [-queue 64]
 //
@@ -78,7 +78,7 @@ func runServe(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(out, "structslim serve: listening on http://%s (workload %q)\n", ln.Addr(), *name)
@@ -107,6 +107,27 @@ func runServe(args []string, out io.Writer) error {
 		rep.RenderText(out)
 	}
 	return nil
+}
+
+// Connection timeouts of `structslim serve`. There is deliberately no
+// write timeout: POST /v1/optimize measures candidate layouts for
+// seconds before it writes its answer.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveReadTimeout       = time.Minute // a whole request, body included
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in an http.Server whose
+// timeouts keep a stalled or idle client from holding a connection open
+// indefinitely.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		ReadTimeout:       serveReadTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 }
 
 // newAnalyzer builds the streaming analyzer, rebuilding the named

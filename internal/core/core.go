@@ -53,12 +53,6 @@ type Options struct {
 	// paper argues against. Exposed for the ablation study; the default
 	// (false) is the paper's latency weighting.
 	WeightByCount bool
-	// AnalyticPhases lets the profiler skip VM and cache simulation for
-	// phases whose every loop nest is exact tier with a confirmed static
-	// reuse prediction: the phase's profile contribution is synthesized
-	// analytically from the closed-form access schedule. Advice is
-	// unchanged; phases outside the exact tier fall back to simulation.
-	AnalyticPhases bool
 	// Statistical switches the profiling run to sampled-window
 	// statistical simulation: only StatWindow accesses of warmup before
 	// each PEBS sample (plus the sample itself) run the full cache

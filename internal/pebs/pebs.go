@@ -132,8 +132,8 @@ type threadState struct {
 	prof      *profile.ThreadProfile
 	// find is the thread-private address→object resolver; attribution
 	// results match Space.FindObject exactly, but the last-hit memo is
-	// per thread, so concurrent interpreter goroutines (vm.Config.
-	// Parallel) never write shared sampler state.
+	// per thread, so interleaved threads striding through different
+	// objects do not evict each other's cached hit.
 	find *mem.Finder
 }
 
@@ -275,13 +275,6 @@ func (s *Sampler) WindowPlan(tid int, window uint64) (fastForward uint64) {
 	}
 	return gap - window
 }
-
-// ParallelSafe implements vm.ParallelSafeObserver: OnAccess touches only
-// per-thread state (the thread's profile, RNG, countdown, and private
-// object finder), so concurrent delivery from per-core interpreter
-// goroutines is safe as long as the object table is not growing — which
-// the parallel engine guarantees by rejecting phases that allocate.
-func (s *Sampler) ParallelSafe() bool { return true }
 
 // Finish snapshots the object table into each thread profile and attaches
 // the run's cycle accounts; call it once after the machine run completes.

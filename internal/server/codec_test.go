@@ -8,9 +8,11 @@ package server_test
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -62,19 +64,19 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryMatchesGobSemantics cross-checks the two binary codecs: the
-// same batches pushed through gob and through the binary framing must
+// TestBinaryMatchesNDJSONSemantics cross-checks the two codecs: the same
+// batches pushed through NDJSON and through the binary framing must
 // decode to identical values.
-func TestBinaryMatchesGobSemantics(t *testing.T) {
+func TestBinaryMatchesNDJSONSemantics(t *testing.T) {
 	in := testBatches()
-	var gobBuf, binBuf bytes.Buffer
-	if err := server.EncodeBatches(&gobBuf, server.ContentTypeGob, in); err != nil {
+	var jsonBuf, binBuf bytes.Buffer
+	if err := server.EncodeBatches(&jsonBuf, server.ContentTypeNDJSON, in); err != nil {
 		t.Fatal(err)
 	}
 	if err := server.EncodeBatches(&binBuf, server.ContentTypeBinary, in); err != nil {
 		t.Fatal(err)
 	}
-	fromGob, err := server.DecodeBatches(&gobBuf, server.ContentTypeGob)
+	fromJSON, err := server.DecodeBatches(&jsonBuf, server.ContentTypeNDJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +84,8 @@ func TestBinaryMatchesGobSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fromGob, fromBin) {
-		t.Errorf("gob and binary decode to different values:\ngob    %+v\nbinary %+v", fromGob, fromBin)
+	if !reflect.DeepEqual(fromJSON, fromBin) {
+		t.Errorf("ndjson and binary decode to different values:\nndjson %+v\nbinary %+v", fromJSON, fromBin)
 	}
 }
 
@@ -113,21 +115,21 @@ func TestArenaDecode(t *testing.T) {
 			arena.Release()
 		}
 	}
-	// Non-binary codecs take the plain path: nil arena, Release is a no-op.
-	var gobBuf bytes.Buffer
-	if err := server.EncodeBatches(&gobBuf, server.ContentTypeGob, want); err != nil {
+	// NDJSON takes the plain path: nil arena, Release is a no-op.
+	var jsonBuf bytes.Buffer
+	if err := server.EncodeBatches(&jsonBuf, server.ContentTypeNDJSON, want); err != nil {
 		t.Fatal(err)
 	}
-	got, arena, err := server.DecodeBatchesArena(&gobBuf, server.ContentTypeGob)
+	got, arena, err := server.DecodeBatchesArena(&jsonBuf, server.ContentTypeNDJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if arena != nil {
-		t.Error("gob decode returned an arena")
+		t.Error("ndjson decode returned an arena")
 	}
 	arena.Release()
 	if !reflect.DeepEqual(got, want) {
-		t.Error("gob arena-path decode differs from input")
+		t.Error("ndjson arena-path decode differs from input")
 	}
 }
 
@@ -183,12 +185,12 @@ func TestBinaryDecodeErrors(t *testing.T) {
 		}), "disagrees with counts"},
 		{"mid-stream codec switch", append(append([]byte(nil), valid...),
 			[]byte("{\"Session\":\"s\",\"Period\":1}\n")...), "frame 1"},
-		{"gob spliced after frame", func() []byte {
-			var gobBuf bytes.Buffer
-			if err := server.EncodeBatches(&gobBuf, server.ContentTypeGob, testBatches()); err != nil {
+		{"ndjson spliced after frame", func() []byte {
+			var jsonBuf bytes.Buffer
+			if err := server.EncodeBatches(&jsonBuf, server.ContentTypeNDJSON, testBatches()); err != nil {
 				t.Fatal(err)
 			}
-			return append(append([]byte(nil), valid...), gobBuf.Bytes()...)
+			return append(append([]byte(nil), valid...), jsonBuf.Bytes()...)
 		}(), "frame 1",
 		},
 	}
@@ -264,5 +266,139 @@ func TestServerRejectsMalformedBinary(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("empty batch with session: %d, want 202", resp.StatusCode)
+	}
+}
+
+// batchesTotal reads structslim_batches_total from the server's metrics.
+func batchesTotal(t *testing.T, h http.Handler) uint64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "structslim_batches_total "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatal("metrics carry no structslim_batches_total")
+	return 0
+}
+
+// TestServerRejectsGobIngest: gob is the /v1/snapshot format only; a
+// sample POST in it is refused with 400, the error names the two ingest
+// content types, and nothing reaches the analyzer.
+func TestServerRejectsGobIngest(t *testing.T) {
+	an, err := stream.New(nil, stream.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(an, server.Config{})
+	defer srv.Drain()
+	h := srv.Handler()
+
+	req := httptest.NewRequest(http.MethodPost, "/v1/samples", bytes.NewReader([]byte{0x0d, 0xff, 0x81, 0x02}))
+	req.Header.Set("Content-Type", server.ContentTypeGob)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("gob POST: status %d, want 400", rec.Code)
+	}
+	for _, ct := range []string{server.ContentTypeBinary, server.ContentTypeNDJSON} {
+		if !strings.Contains(rec.Body.String(), ct) {
+			t.Errorf("error %q does not name %s", rec.Body.String(), ct)
+		}
+	}
+	srv.Flush()
+	if n := batchesTotal(t, h); n != 0 || len(an.Sessions()) != 0 {
+		t.Fatalf("gob POST ingested: %d batches, sessions %+v", n, an.Sessions())
+	}
+}
+
+// repeatReader streams unit over and over until n bytes have been read,
+// so an oversized body never has to exist in memory.
+type repeatReader struct {
+	unit []byte
+	off  int
+	n    int64
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	if r.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > r.n {
+		p = p[:r.n]
+	}
+	k := 0
+	for k < len(p) {
+		c := copy(p[k:], r.unit[r.off:])
+		k += c
+		r.off = (r.off + c) % len(r.unit)
+	}
+	r.n -= int64(k)
+	return k, nil
+}
+
+// TestServerCapsRequestBody: a sample POST longer than the 64 MiB body
+// cap is refused with 413 and ingests nothing, whether it is one endless
+// NDJSON stream or many binary frames that are each within the frame
+// limit.
+func TestServerCapsRequestBody(t *testing.T) {
+	const bodyCap = 64 << 20
+	batch := stream.Batch{
+		Session: "s", Period: 1000,
+		Objects: []profile.ObjInfo{{ID: 0, Name: "o", Base: 0x1000, Size: 4096, Identity: 1, TypeID: -1}},
+	}
+	// NDJSON: one small batch per line, space-padded to 64 KiB so the
+	// decoded request stays small while the body grows past the cap.
+	var line bytes.Buffer
+	if err := server.EncodeBatches(&line, server.ContentTypeNDJSON, []stream.Batch{batch}); err != nil {
+		t.Fatal(err)
+	}
+	ndjsonUnit := append(bytes.TrimRight(line.Bytes(), "\n"), bytes.Repeat([]byte(" "), 64<<10-line.Len())...)
+	ndjsonUnit = append(ndjsonUnit, '\n')
+	// Binary: ~4 KiB frames, far below the frame limit. The bytes go into
+	// a maximal session string rather than samples: the decoder keeps
+	// every frame of a request, and a string costs its length once, while
+	// the sample slab's regrowth would cost several times the body.
+	binaryUnit := server.AppendBatchBinary(nil, &stream.Batch{
+		Session: strings.Repeat("s", 4096), Period: 1000,
+	})
+
+	for _, tc := range []struct {
+		ct   string
+		unit []byte
+	}{
+		{server.ContentTypeNDJSON, ndjsonUnit},
+		{server.ContentTypeBinary, binaryUnit},
+	} {
+		t.Run(tc.ct, func(t *testing.T) {
+			an, err := stream.New(nil, stream.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := server.New(an, server.Config{})
+			defer srv.Drain()
+			h := srv.Handler()
+
+			// Whole units only, so every byte up to the cap decodes cleanly
+			// and the cap alone decides the outcome.
+			units := int64(bodyCap/len(tc.unit) + 2)
+			body := &repeatReader{unit: tc.unit, n: units * int64(len(tc.unit))}
+			req := httptest.NewRequest(http.MethodPost, "/v1/samples", body)
+			req.Header.Set("Content-Type", tc.ct)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("over-cap body: status %d, want 413: %.200s", rec.Code, rec.Body.String())
+			}
+			srv.Flush()
+			if n := batchesTotal(t, h); n != 0 || len(an.Sessions()) != 0 {
+				t.Fatalf("over-cap body ingested: %d batches, sessions %+v", n, an.Sessions())
+			}
+		})
 	}
 }

@@ -193,9 +193,24 @@ func (s *Server) Drain() {
 	s.wg.Wait()
 }
 
+// maxRequestBody caps one POST /v1/samples body. The decoders hold a
+// whole request in memory before anything is enqueued, so an uncapped
+// body (unbounded NDJSON lines, or many binary frames each under
+// maxFrameLen) would let one client grow the server without limit.
+const maxRequestBody = maxFrameLen
+
 func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
-	batches, arena, err := DecodeBatchesArena(r.Body, r.Header.Get("Content-Type"))
+	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
+	batches, arena, err := DecodeBatchesArena(body, r.Header.Get("Content-Type"))
 	if err != nil {
+		// Ask the capped reader, not err: a decoder may fail on the record
+		// the cap cut short (a truncated NDJSON line) before it reads the
+		// cap's own error, which the reader repeats on every later Read.
+		var tooBig *http.MaxBytesError
+		if _, rerr := body.Read(nil); errors.As(rerr, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxRequestBody), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

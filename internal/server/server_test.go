@@ -88,7 +88,7 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 // and checks the server's report, snapshot, advice, live view, and
 // metrics against the local batch pipeline.
 func TestEndToEnd(t *testing.T) {
-	for _, ct := range []string{server.ContentTypeGob, server.ContentTypeNDJSON} {
+	for _, ct := range []string{server.ContentTypeBinary, server.ContentTypeNDJSON} {
 		t.Run(ct, func(t *testing.T) {
 			w, err := workloads.Get("art")
 			if err != nil {
@@ -222,7 +222,7 @@ func TestBackpressure(t *testing.T) {
 	// eventually a POST must bounce with 429.
 	var rejected *http.Response
 	for seq := uint64(0); seq < 8; seq++ {
-		resp := postBatches(t, ts, server.ContentTypeGob, []stream.Batch{mk(seq)})
+		resp := postBatches(t, ts, server.ContentTypeBinary, []stream.Batch{mk(seq)})
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusTooManyRequests {
@@ -242,7 +242,7 @@ func TestBackpressure(t *testing.T) {
 
 	// Unblock and retry: the accepted batches drain, new ones are taken.
 	once.Do(func() { close(release) })
-	resp := postBatches(t, ts, server.ContentTypeGob, []stream.Batch{mk(99)})
+	resp := postBatches(t, ts, server.ContentTypeBinary, []stream.Batch{mk(99)})
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {

@@ -54,44 +54,6 @@ func matVecTrace(p *prog.Program, rows, cols int64, lineSize uint64) []uint64 {
 	return trace
 }
 
-func TestPlanFunctionMatVec(t *testing.T) {
-	const rows, cols = 37, 50
-	p := buildMatVec(t, rows, cols)
-	a, err := AnalyzeProgram(p)
-	if err != nil {
-		t.Fatalf("AnalyzeProgram: %v", err)
-	}
-	plan := PlanFunction(a, p.EntryFn)
-	if !plan.Eligible {
-		t.Fatalf("plan ineligible: %s", plan.Reason)
-	}
-	if want := uint64(3 * rows * cols); plan.Accesses != want {
-		t.Fatalf("planned accesses = %d, want %d", plan.Accesses, want)
-	}
-	// One top-level loop item with one nested loop.
-	var outer *LoopPlan
-	for i := range plan.Items {
-		if plan.Items[i].Loop != nil {
-			if outer != nil {
-				t.Fatalf("multiple top-level loops")
-			}
-			outer = plan.Items[i].Loop
-		}
-	}
-	if outer == nil || outer.Trips != rows {
-		t.Fatalf("outer loop trips = %v, want %d", outer, rows)
-	}
-	var inner *LoopPlan
-	for i := range outer.Body {
-		if outer.Body[i].Loop != nil {
-			inner = outer.Body[i].Loop
-		}
-	}
-	if inner == nil || inner.Trips != cols || inner.Depth != 1 {
-		t.Fatalf("inner loop = %+v", inner)
-	}
-}
-
 // TestPredictReuseMatchesTrace is the unit-level differential: the
 // predicted histogram (with steady-state extrapolation) must equal the
 // exact Bennett–Kruskal analyzer run over the full enumerated trace.
@@ -114,6 +76,42 @@ func TestPredictReuseMatchesTrace(t *testing.T) {
 		t.Fatalf("nests = %d, want 1", len(rp.Nests))
 	}
 	np := rp.Nests[0]
+	if np.Trips != rows {
+		t.Fatalf("outer loop trips = %d, want %d", np.Trips, rows)
+	}
+	// The planned nest: the row loop encloses exactly one column loop,
+	// one level deeper in the iteration vector.
+	forest := a.Loops.Forests[p.EntryFn]
+	fa := newFuncAnalysis(p, p.Funcs[p.EntryFn], forest)
+	if !fa.solve() {
+		t.Fatalf("dataflow did not converge")
+	}
+	outerID := -1
+	for lid, l := range forest.Loops {
+		if l.Parent == -1 {
+			outerID = lid
+		}
+	}
+	pl := &planner{a: a, fa: fa, visited: make(map[int]bool)}
+	outer, err := pl.planLoop(outerID)
+	if err != nil {
+		t.Fatalf("planLoop: %v", err)
+	}
+	if outer.Trips != rows || outer.Depth != 0 {
+		t.Fatalf("outer loop = %+v, want %d trips at depth 0", outer, rows)
+	}
+	var inner *LoopPlan
+	for i := range outer.Body {
+		if outer.Body[i].Loop != nil {
+			if inner != nil {
+				t.Fatalf("multiple loops inside the row loop")
+			}
+			inner = outer.Body[i].Loop
+		}
+	}
+	if inner == nil || inner.Trips != cols || inner.Depth != 1 {
+		t.Fatalf("inner loop = %+v, want %d trips at depth 1", inner, cols)
+	}
 	if !np.Extrapolated {
 		t.Errorf("expected steady-state extrapolation over %d rows (simulated %d)",
 			rows, np.SimulatedIters)

@@ -122,16 +122,6 @@ type WindowSampler interface {
 	WindowPlan(tid int, window uint64) (fastForward uint64)
 }
 
-// ParallelSafeObserver marks an AccessObserver whose OnAccess may be
-// invoked concurrently from per-thread interpreter goroutines, provided
-// events for any single tid arrive in order from one goroutine at a time.
-// The parallel engine falls back to sequential execution for observers
-// that do not implement it (or return false).
-type ParallelSafeObserver interface {
-	AccessObserver
-	ParallelSafe() bool
-}
-
 // deliverAccess materializes the full MemEvent for one access, flushes
 // any batched skips first so a gap sampler's counters are exact, and
 // re-arms the thread's skip budget from the sampler afterwards.

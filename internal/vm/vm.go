@@ -88,7 +88,8 @@ type ThreadSpec struct {
 // Config tunes the interpreter.
 type Config struct {
 	// Quantum is how many instructions a thread runs before the scheduler
-	// rotates; it controls the interleaving granularity of parallel runs.
+	// rotates; it controls the interleaving granularity of multi-thread
+	// phases.
 	Quantum int
 	// MaxInstrs aborts runaway programs (0 means a very large default).
 	MaxInstrs uint64
@@ -109,17 +110,6 @@ type Config struct {
 	// (see StatCounters). Instruction-gated (IBS) sampling and the
 	// reference engine ignore the setting and stay exact.
 	StatWindow int
-
-	// Parallel runs each multi-thread phase's threads on separate
-	// goroutines, one simulated core per thread, with deterministic
-	// quantum-boundary merging of shared cache, directory, and memory
-	// state (see parallel.go). Phases that are ineligible — one thread,
-	// threads sharing a core, reachable allocation, or an observer that
-	// is not ParallelSafe — fall back to the sequential engine.
-	Parallel bool
-	// Workers bounds the goroutines executing thread quanta concurrently
-	// (0 = GOMAXPROCS). Results are byte-identical at any worker count.
-	Workers int
 }
 
 // DefaultConfig returns the interpreter defaults.
@@ -150,11 +140,6 @@ var opCost = func() [64]uint64 {
 	c[isa.Alloc] = 30
 	return c
 }()
-
-// CostOf exposes the instruction base cost (excluding memory latency) so
-// analytic execution models can reproduce the interpreter's exact cycle
-// accounting without running it.
-func CostOf(op isa.Op) uint64 { return opCost[op] }
 
 // frame is a saved caller state for Call/Ret. The convention saves the
 // whole register file; r1 carries the return value through the restore.
@@ -209,8 +194,7 @@ type Thread struct {
 	// evScratch is the MemEvent handed to the observer for this thread's
 	// accesses. Reusing one thread-owned event keeps the per-access path
 	// allocation-free (a stack-local event would escape through the
-	// interface call), and per-thread ownership lets the parallel engine
-	// deliver events from concurrent quanta without sharing.
+	// interface call).
 	evScratch MemEvent
 }
 
@@ -241,14 +225,6 @@ type Machine struct {
 	gap        GapSampler
 	gapByInstr bool
 	winSampler WindowSampler
-
-	// Parallel-engine state: the reusable barrier session, the per-thread
-	// memory views, the memoized can-this-function-allocate analysis, and
-	// the record of what the engine did (see ParallelInfo).
-	parSession *cache.ParallelSession
-	parViews   []*mem.View
-	allocReach []bool // per function: can an Alloc execute from here?
-	parInfo    ParallelInfo
 }
 
 // NewMachine loads the program: it finalizes it if needed, places static
@@ -358,14 +334,6 @@ func (m *Machine) Run(specs []ThreadSpec) (Stats, error) {
 					m.Caches.EnableDecay()
 				}
 			}
-		}
-	}
-
-	if m.cfg.Parallel && m.code != nil && len(m.Threads) > 1 {
-		if reason := m.parallelIneligible(specs); reason == "" {
-			return m.runParallel()
-		} else {
-			m.parInfo.Fallbacks = append(m.parInfo.Fallbacks, reason)
 		}
 	}
 

@@ -2,8 +2,8 @@ package repro_test
 
 // Benchmark of the streaming ingest path: the same replayed sample
 // stream pushed straight into the analyzer ("direct"), through the HTTP
-// ingest server with the PR-5 protocol ("http": gob framing, one request
-// per batch), and through the high-throughput path ("binary": length-
+// ingest server one request per batch in the debuggable codec ("http":
+// NDJSON, sequential client), and through the high-throughput path ("binary": length-
 // prefixed binary frames, windows of batches per request, concurrent
 // per-session pushers, sharded analyzer). Each sub-benchmark reports
 // samples/sec plus allocs/sample and bytes/sample, so both the transport
@@ -122,14 +122,14 @@ func BenchmarkStreamIngest(b *testing.B) {
 	})
 
 	b.Run("http", func(b *testing.B) {
-		// PR-5 protocol: gob framing, one request per batch, sequential
-		// client. Pre-framed payloads so the loop measures transport +
-		// decode + ingest, not client-side encoding.
+		// One NDJSON request per batch, sequential client. Pre-framed
+		// payloads so the loop measures transport + decode + ingest, not
+		// client-side encoding.
 		var payloads [][]byte
 		for _, batches := range sessions {
 			for i := range batches {
 				var buf bytes.Buffer
-				if err := server.EncodeBatches(&buf, server.ContentTypeGob, batches[i:i+1]); err != nil {
+				if err := server.EncodeBatches(&buf, server.ContentTypeNDJSON, batches[i:i+1]); err != nil {
 					b.Fatal(err)
 				}
 				payloads = append(payloads, buf.Bytes())
@@ -150,7 +150,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			for _, payload := range payloads {
-				resp, err := http.Post(ts.URL+"/v1/samples", server.ContentTypeGob, bytes.NewReader(payload))
+				resp, err := http.Post(ts.URL+"/v1/samples", server.ContentTypeNDJSON, bytes.NewReader(payload))
 				if err != nil {
 					b.Fatal(err)
 				}

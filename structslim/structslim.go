@@ -154,9 +154,6 @@ type RunResult struct {
 	ThreadProfiles []*profile.ThreadProfile
 	// Stat is the statistical-mode error report (nil on exact runs).
 	Stat *StatReport
-	// Parallel is the parallel engine's diagnostic record (zero value
-	// unless Options.VM.Parallel was set and a machine run happened).
-	Parallel vm.ParallelInfo
 }
 
 // normalizePhases defaults to a single thread running the entry function.
@@ -219,19 +216,9 @@ func Run(p *prog.Program, phases []Phase, opt Options) (vm.Stats, error) {
 }
 
 // ProfileRun executes the program with the PEBS-style sampler attached
-// and returns the run statistics plus the merged profile. With
-// Options.Analysis.AnalyticPhases set, runs whose every phase is exact
-// tier are synthesized analytically (see analytic.go) instead of
-// simulated; anything else falls back to the machine.
+// and returns the run statistics plus the merged profile.
 func ProfileRun(p *prog.Program, phases []Phase, opt Options) (*RunResult, error) {
 	phases = normalizePhases(p, phases)
-	if opt.Analysis.AnalyticPhases {
-		if res, ok, err := analyticProfileRun(p, phases, opt); err != nil {
-			return nil, err
-		} else if ok {
-			return res, nil
-		}
-	}
 	vmCfg := opt.vmConfig()
 	m, err := vm.NewMachine(p, opt.cacheConfig(), coresFor(phases, opt.Cores), vmCfg)
 	if err != nil {
@@ -248,7 +235,7 @@ func ProfileRun(p *prog.Program, phases []Phase, opt Options) (*RunResult, error
 	if err != nil {
 		return nil, err
 	}
-	res := &RunResult{Stats: stats, Profile: merged, ThreadProfiles: tps, Parallel: m.ParallelInfo()}
+	res := &RunResult{Stats: stats, Profile: merged, ThreadProfiles: tps}
 	if vmCfg.StatWindow > 0 {
 		res.Stat = buildStatReport(vmCfg.StatWindow, stats, merged, opt)
 	}
