@@ -241,7 +241,10 @@ func TestBackpressure(t *testing.T) {
 	}
 
 	// Unblock and retry: the accepted batches drain, new ones are taken.
+	// Wait for the drain first: until the worker has emptied the depth-1
+	// queue, a full queue still (correctly) answers 429.
 	once.Do(func() { close(release) })
+	srv.Flush()
 	resp := postBatches(t, ts, server.ContentTypeBinary, []stream.Batch{mk(99)})
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()

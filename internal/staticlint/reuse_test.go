@@ -54,6 +54,63 @@ func matVecTrace(p *prog.Program, rows, cols int64, lineSize uint64) []uint64 {
 	return trace
 }
 
+// TestPlanFunctionMatVec plans the entry function's matvec nest: one
+// top-level counted loop of rows trips enclosing exactly one loop of cols
+// trips one level deeper, and 3 accesses per inner iteration.
+func TestPlanFunctionMatVec(t *testing.T) {
+	const rows, cols = 37, 50
+	p := buildMatVec(t, rows, cols)
+	a, err := AnalyzeProgram(p)
+	if err != nil {
+		t.Fatalf("AnalyzeProgram: %v", err)
+	}
+	forest := a.Loops.Forests[p.EntryFn]
+	fa := newFuncAnalysis(p, p.Funcs[p.EntryFn], forest)
+	if !fa.solve() {
+		t.Fatalf("dataflow did not converge")
+	}
+	outerID := -1
+	for lid, l := range forest.Loops {
+		if l.Parent == -1 {
+			if outerID != -1 {
+				t.Fatalf("multiple top-level loops")
+			}
+			outerID = lid
+		}
+	}
+	if outerID == -1 {
+		t.Fatalf("no top-level loop")
+	}
+	pl := &planner{a: a, fa: fa, visited: make(map[int]bool)}
+	outer, err := pl.planLoop(outerID)
+	if err != nil {
+		t.Fatalf("planLoop: %v", err)
+	}
+	if outer.Trips != rows || outer.Depth != 0 {
+		t.Fatalf("outer loop = %+v, want %d trips at depth 0", outer, rows)
+	}
+	var inner *LoopPlan
+	for i := range outer.Body {
+		if outer.Body[i].Loop != nil {
+			if inner != nil {
+				t.Fatalf("multiple loops inside the row loop")
+			}
+			inner = outer.Body[i].Loop
+		}
+	}
+	if inner == nil || inner.Trips != cols || inner.Depth != 1 {
+		t.Fatalf("inner loop = %+v, want %d trips at depth 1", inner, cols)
+	}
+	rp := PredictReuse(a, cache.DefaultConfig())
+	if len(rp.Nests) != 1 {
+		t.Fatalf("nests = %d, want 1", len(rp.Nests))
+	}
+	if np := rp.Nests[0]; np.Trips != rows || np.Accesses != 3*rows*cols {
+		t.Fatalf("planned nest: %d trips, %d accesses; want %d, %d",
+			np.Trips, np.Accesses, rows, 3*rows*cols)
+	}
+}
+
 // TestPredictReuseMatchesTrace is the unit-level differential: the
 // predicted histogram (with steady-state extrapolation) must equal the
 // exact Bennett–Kruskal analyzer run over the full enumerated trace.
@@ -76,42 +133,6 @@ func TestPredictReuseMatchesTrace(t *testing.T) {
 		t.Fatalf("nests = %d, want 1", len(rp.Nests))
 	}
 	np := rp.Nests[0]
-	if np.Trips != rows {
-		t.Fatalf("outer loop trips = %d, want %d", np.Trips, rows)
-	}
-	// The planned nest: the row loop encloses exactly one column loop,
-	// one level deeper in the iteration vector.
-	forest := a.Loops.Forests[p.EntryFn]
-	fa := newFuncAnalysis(p, p.Funcs[p.EntryFn], forest)
-	if !fa.solve() {
-		t.Fatalf("dataflow did not converge")
-	}
-	outerID := -1
-	for lid, l := range forest.Loops {
-		if l.Parent == -1 {
-			outerID = lid
-		}
-	}
-	pl := &planner{a: a, fa: fa, visited: make(map[int]bool)}
-	outer, err := pl.planLoop(outerID)
-	if err != nil {
-		t.Fatalf("planLoop: %v", err)
-	}
-	if outer.Trips != rows || outer.Depth != 0 {
-		t.Fatalf("outer loop = %+v, want %d trips at depth 0", outer, rows)
-	}
-	var inner *LoopPlan
-	for i := range outer.Body {
-		if outer.Body[i].Loop != nil {
-			if inner != nil {
-				t.Fatalf("multiple loops inside the row loop")
-			}
-			inner = outer.Body[i].Loop
-		}
-	}
-	if inner == nil || inner.Trips != cols || inner.Depth != 1 {
-		t.Fatalf("inner loop = %+v, want %d trips at depth 1", inner, cols)
-	}
 	if !np.Extrapolated {
 		t.Errorf("expected steady-state extrapolation over %d rows (simulated %d)",
 			rows, np.SimulatedIters)
